@@ -31,6 +31,14 @@ probes there is safe: a probe's category is fixed once its A-window
 deadline has passed, counts are only read at training ticks (after a
 full expiry sweep at the same cutoff) and a retrain resets counts and
 pending in both engines.
+
+A training tick advances *every* profiler to its refresh start, and a
+start can lie in the future (a rank whose banks are busy starts its
+refresh late), so the scalar deques drop arrivals older than the largest
+such start minus the window.  Every B-count here therefore bisects from
+``max(cutoff, last_tr_adv) - window``: a rank refreshing at 525 after
+another rank's tick at 300 started at 556 no longer sees its arrival at
+225, in either engine.
 """
 
 from __future__ import annotations
@@ -274,7 +282,9 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
         k_bank: list[list[int]] = [[] for _ in range(nkeys)]
         k_addr: list[list[int]] = [[] for _ in range(nkeys)]
         mir_pending: list[list[list[int]]] = [[] for _ in range(nkeys)]
-        last_tr_adv = -1  # last training-tick advance (global: all profilers)
+        #: largest training-tick advance so far (global: all profilers);
+        #: the scalar deques hold no arrival older than this minus window
+        last_tr_adv = -1
         # per-key prediction-table mirrors; flat per-bank layout
         # [d1, f1, d2, ph2, f2, d3, ph3, f3] (matcher ks fixed at 1, 2, 3)
         table_upto = [0] * nkeys
@@ -884,7 +894,7 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
         arr.clear()
         kc = k_cyc[kk]
         kwr = k_wr[kk]
-        lo = bisect_left(kc, cycle - window)
+        lo = bisect_left(kc, max(cycle, last_tr_adv) - window)
         n = len(kc)
         while lo < n:
             arr.append((kc[lo], not kwr[lo]))
@@ -1333,9 +1343,10 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
                                 clear_all_pending()
                             if not sm.is_training:
                                 kc = k_cyc[kk]
-                                # half-open [cycle - window, cycle)
+                                # half-open [cycle - window, cycle), less
+                                # what a future training tick pruned
                                 b_count = bisect_left(kc, cycle) - bisect_left(
-                                    kc, cycle - window
+                                    kc, max(cycle, last_tr_adv) - window
                                 )
                                 if rop._bus_pressure(ci, cycle) > bus_pressure_limit:
                                     rop.pressure_skips += 1
@@ -1409,14 +1420,16 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
                                 kc = k_cyc[kk]
                                 hi = len(kc)
                                 # [start - window, start): half-open, same
-                                # as the scalar profiler
+                                # as the scalar profiler, whose deque an
+                                # earlier tick with a later start pruned
+                                if start > last_tr_adv:
+                                    last_tr_adv = start
                                 b = bisect_left(kc, start) - bisect_left(
-                                    kc, start - window
+                                    kc, last_tr_adv - window
                                 )
                                 mir_pending[kk].append(
                                     [start, start + a_window, b, hi]
                                 )
-                                last_tr_adv = start
                                 rop._maybe_finish_training(start)
                             rop._locks.append(
                                 LockRecord(

@@ -13,8 +13,7 @@ behaviour depends on:
 * **bank locality** — how long the stream dwells in one bank under a
   given address mapping.
 
-All computations are NumPy-vectorized except the (linear, single-pass)
-predictability scan.
+All computations are NumPy-vectorized.
 """
 
 from __future__ import annotations
@@ -76,28 +75,13 @@ def delta_predictability(lines: np.ndarray, max_order: int = 3) -> float:
     n = len(deltas)
     if n < max_order + 1:
         return 0.0
-    hits = 0
-    patterns: list[tuple[tuple[int, ...], int] | None] = [None] * max_order
-    history: list[int] = []
-    for d in deltas:
-        predicted = False
-        for k in range(1, max_order + 1):
-            state = patterns[k - 1]
-            if state is not None:
-                pat, phase = state
-                if d == pat[phase]:
-                    patterns[k - 1] = (pat, (phase + 1) % k)
-                    predicted = True
-                    continue
-            if len(history) >= k - 1:
-                anchor = tuple(history[-(k - 1):]) + (int(d),) if k > 1 else (int(d),)
-                patterns[k - 1] = (anchor, 0)
-        if predicted:
-            hits += 1
-        history.append(int(d))
-        if len(history) > max_order:
-            history.pop(0)
-    return hits / n
+    # the order-k matcher arms at delta k-1 with the last k deltas as its
+    # pattern and from then on forecasts the delta k places back, whether
+    # it matched (the cycle advances) or re-anchored
+    predicted = np.zeros(n, dtype=bool)
+    for k in range(1, max_order + 1):
+        predicted[k:] |= deltas[k:] == deltas[:-k]
+    return int(predicted.sum()) / n
 
 
 def bank_dwells(
@@ -108,17 +92,8 @@ def bank_dwells(
     """Lengths of consecutive same-(rank, bank) access runs."""
     if len(lines) == 0:
         return np.empty(0, dtype=np.int64)
-    mapper = AddressMapper(org, scheme)
-    keys = np.fromiter(
-        (
-            (c := mapper.decode(int(l))).channel * 1_000_000
-            + c.rank * 1_000
-            + c.bank
-            for l in lines
-        ),
-        dtype=np.int64,
-        count=len(lines),
-    )
+    chan, rank, bank, _, _ = AddressMapper(org, scheme).decode_array(lines)
+    keys = chan * 1_000_000 + rank * 1_000 + bank
     change = np.nonzero(np.diff(keys))[0]
     boundaries = np.concatenate([[-1], change, [len(keys) - 1]])
     return np.diff(boundaries).astype(np.int64)

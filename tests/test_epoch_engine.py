@@ -22,16 +22,19 @@ import hashlib
 import os
 import pickle
 
-import pytest
-from hypothesis import given, settings
+from dataclasses import replace
 
-from repro import SystemConfig
+import pytest
+from hypothesis import example, given, settings
+
+from repro import AddressMapScheme, RefreshMode, SystemConfig
 from repro.cpu.multicore import run_cores
 from repro.kernel import ENGINES, resolve_engine
 from repro.telemetry import TraceSink
 from repro.harness.runner import core_llc_share
 from repro.validation.corpus import _SYSTEMS
-from repro.validation.fuzz import config_and_traces
+from repro.validation.fuzz import FUZZ_ORG, config_and_traces
+from repro.workloads.trace import AccessTrace
 from repro.workloads import mix_profiles, profile
 
 INSTR = 60_000
@@ -182,9 +185,45 @@ class TestFanOutInvariance:
         assert digests[1] == digests[2]
 
 
+def _trace(gaps, lines, writes) -> AccessTrace:
+    return AccessTrace.from_lists(gaps, lines, writes)
+
+
+def _future_start_pruning_point():
+    """A quad-core PER_BANK + ROP point where a refresh starts in the future.
+
+    Rank 0's refresh ticks at 300 but its banks are busy with core 0's
+    writes, so it starts at 556.  Training advances every profiler to
+    556, which drops rank 3's arrival at 225 from its B-window before
+    rank 3 refreshes at 525: scalar files that refresh as B=0, A=0 (β
+    1.0, λ undefined).  The multi-core epoch kernel used to count the
+    arrival and file it as B>0, A=0 (λ 0.0).
+    """
+    timings = SystemConfig().timings.with_refresh(refi=1200, rfc=100)
+    cfg = (
+        SystemConfig.single_core(organization=FUZZ_ORG, timings=timings)
+        .with_refresh_mode(RefreshMode.PER_BANK)
+        .with_rop(training_refreshes=1)
+    )
+    cfg = replace(
+        cfg,
+        organization=replace(cfg.organization, ranks=4),
+        address_map=AddressMapScheme.RANK_PARTITIONED,
+    )
+    assert cfg.refresh.stagger
+    traces = [
+        _trace([1] * 23, [207] + [0] * 16 + [452, 505, 513, 694, 806, 0], [True] * 23),
+        _trace([0] * 122, [0] * 122, [False] * 122),
+        _trace([0], [0], [False]),
+        _trace([0] * 27, [2048, 4096] * 13 + [2048], [False] * 27),
+    ]
+    return cfg, traces
+
+
 class TestMetamorphicFuzz:
     @settings(max_examples=int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25")))
     @given(config_and_traces())
+    @example(_future_start_pruning_point())
     def test_engines_agree_on_adversarial_points(self, point):
         cfg, traces = point
         scalar = run_cores(list(traces), cfg, engine="scalar")

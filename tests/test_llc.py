@@ -1,9 +1,11 @@
 """Unit + property tests for the last-level cache filter."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import LlcConfig
+from repro.cpu import llc as llc_module
 from repro.cpu.llc import Llc, filter_trace
 from repro.workloads.trace import AccessTrace
 
@@ -133,6 +135,52 @@ class TestFilterTrace:
 # ---------------------------------------------------------------- properties
 
 
+def reference_filter(tr, cfg):
+    """Explicit-LRU reference LLC: per-set lists of ``[line, dirty]``, LRU first.
+
+    Returns ``(gaps, lines, writes, tail_instructions, misses, writebacks)``
+    of the memory-level trace the LLC emits.
+    """
+    nsets = cfg.sets
+    sets = {s: [] for s in range(nsets)}
+    gaps, lines, writes = [], [], []
+    pending = misses = writebacks = 0
+    for gap, line, wr in zip(tr.gaps.tolist(), tr.lines.tolist(), tr.writes.tolist()):
+        pending += gap
+        s = sets[line % nsets]
+        entry = next((e for e in s if e[0] == line), None)
+        if entry:
+            s.remove(entry)
+            entry[1] = entry[1] or wr
+            s.append(entry)
+            continue
+        misses += 1
+        gaps.append(pending)
+        lines.append(line)
+        writes.append(False)
+        pending = 0
+        if len(s) >= cfg.ways:
+            victim = s.pop(0)
+            if victim[1]:
+                writebacks += 1
+                gaps.append(0)
+                lines.append(victim[0])
+                writes.append(True)
+        s.append([line, wr])
+    return gaps, lines, writes, pending + tr.tail_instructions, misses, writebacks
+
+
+def assert_matches_reference(tr, cfg):
+    res = filter_trace(tr, cfg)
+    gaps, lines, writes, tail, misses, writebacks = reference_filter(tr, cfg)
+    mt = res.memory_trace
+    assert mt.lines.tolist() == lines
+    assert mt.writes.tolist() == writes
+    assert mt.gaps.tolist() == gaps
+    assert mt.tail_instructions == tail
+    assert (res.accesses, res.misses, res.writebacks) == (len(tr), misses, writebacks)
+
+
 @given(
     lines=st.lists(st.integers(0, 255), min_size=1, max_size=300),
     writes_seed=st.integers(0, 2**31),
@@ -144,29 +192,91 @@ def test_filter_matches_reference_model(lines, writes_seed):
     writes = rng.random(len(lines)) < 0.3
     tr = trace_of(lines, writes=writes.tolist())
     cfg = LlcConfig(size_bytes=4 * 1024, ways=2)  # 32 sets: evictions likely
-    res = filter_trace(tr, cfg)
+    assert_matches_reference(tr, cfg)
 
-    # reference: explicit LRU lists
-    nsets = cfg.sets
-    sets = {s: [] for s in range(nsets)}  # list of [line, dirty], LRU first
-    expected = []  # (line, is_write)
-    for line, wr in zip(lines, writes):
-        s = sets[line % nsets]
-        entry = next((e for e in s if e[0] == line), None)
-        if entry:
-            s.remove(entry)
-            entry[1] = entry[1] or wr
-            s.append(entry)
-            continue
-        expected.append((line, False))
-        if len(s) >= cfg.ways:
-            victim = s.pop(0)
-            if victim[1]:
-                expected.append((victim[0], True))
-        s.append([line, wr])
 
-    got = list(zip(res.memory_trace.lines.tolist(), res.memory_trace.writes.tolist()))
-    assert got == expected
+@st.composite
+def geometry_and_trace(draw):
+    """A power-of-two LLC (1-16 ways, 1-4096 sets) and a trace for it.
+
+    * ``hot``: every access in one set, so the whole trace runs on the
+      sequential tail;
+    * ``lockstep``: 256-4096 sets, 1500-3000 accesses over 160 or 512 of
+      them, so the sets step in lock-step (for many steps with 160)
+      before the tail takes the last ones;
+    * ``spread``: any geometry, any length, up to 512 sets touched.
+
+    Tags come from a small alphabet, so hits, repeats of one line,
+    evictions and dirty write-backs are all common.
+    """
+    mode = draw(st.sampled_from(["hot", "lockstep", "spread"]))
+    ways = 2 ** draw(st.integers(0, 4))
+    sets = 2 ** draw(st.integers(8 if mode == "lockstep" else 0, 12))
+    n = draw(st.integers(1500, 3000) if mode == "lockstep" else st.integers(0, 3000))
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    if mode == "hot":
+        set_ids = np.full(n, int(rng.integers(0, sets)), dtype=np.int64)
+    else:
+        spread = draw(st.sampled_from([160, 512]))
+        set_ids = rng.integers(0, min(sets, spread), size=n)
+    tags = rng.integers(0, 3 * ways, size=n)
+    tr = AccessTrace(
+        rng.integers(0, 5, size=n).astype(np.int64),
+        (tags * sets + set_ids).astype(np.int64),
+        rng.random(n) < rng.random(),
+        tail_instructions=int(rng.integers(0, 50)),
+    )
+    return LlcConfig(size_bytes=sets * ways * 64, ways=ways), tr
+
+
+@given(case=geometry_and_trace())
+@settings(max_examples=120, deadline=None)
+def test_filter_matches_reference_on_random_geometries(case):
+    """Set-parallel lock-step and sequential tail both match the reference."""
+    cfg, tr = case
+    assert_matches_reference(tr, cfg)
+
+
+@pytest.mark.parametrize("tail_sets", [2, 64, 1 << 20])
+@pytest.mark.parametrize("seed", range(4))
+def test_lockstep_tail_handover_is_exact(monkeypatch, tail_sets, seed):
+    """Wherever the lock-step hands over to the dict walk, output is unchanged.
+
+    ``_TAIL_SETS`` = 2 runs the lock-step almost to the end; 2**20 never
+    starts it.
+    """
+    monkeypatch.setattr(llc_module, "_TAIL_SETS", tail_sets)
+    rng = np.random.default_rng(seed)
+    cfg = LlcConfig(size_bytes=64 * 1024, ways=4)  # 256 sets
+    n = 4000
+    lines = rng.integers(0, 3 * cfg.ways, size=n) * cfg.sets + rng.integers(
+        0, cfg.sets, size=n
+    )
+    tr = AccessTrace(
+        rng.integers(0, 9, size=n).astype(np.int64),
+        lines.astype(np.int64),
+        rng.random(n) < 0.4,
+        tail_instructions=7,
+    )
+    assert_matches_reference(tr, cfg)
+
+
+def test_profile_trace_matches_reference():
+    """A real benchmark trace through the default LLC and a 512-set one."""
+    from repro.workloads import profile
+
+    tr = profile("gcc").cpu_trace(200_000, seed=1)
+    assert_matches_reference(tr, LlcConfig())
+    assert_matches_reference(tr, LlcConfig(size_bytes=256 * 1024, ways=8))
+
+
+def test_empty_trace():
+    tr = AccessTrace.from_lists([], [], [], tail_instructions=5)
+    res = filter_trace(tr, SMALL)
+    assert (res.accesses, res.misses, res.writebacks) == (0, 0, 0)
+    assert len(res.memory_trace) == 0
+    assert res.memory_trace.tail_instructions == 5
 
 
 @given(lines=st.lists(st.integers(0, 10_000), min_size=1, max_size=200))
