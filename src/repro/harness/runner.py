@@ -66,6 +66,7 @@ import traceback as _traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from ..config import LlcConfig, SystemConfig
@@ -154,9 +155,18 @@ class RunSpec:
     #: (also forced by ``REPRO_VALIDATE=1``); never changes the result
     validate: bool = False
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Content fingerprint — the artifact-cache address."""
+        """Content fingerprint — the artifact-cache address.
+
+        Computed once per instance: canonicalizing the full
+        ``SystemConfig`` dominates a warm plan submission, and the
+        service asks for each spec's key more than once per request.
+        The memo lives in the instance ``__dict__`` (a frozen dataclass
+        still has one) and is dropped by :meth:`__getstate__`, so an
+        unpickled spec (a worker's copy, a quarantine bundle replayed
+        under a later ``CACHE_SCHEMA``) recomputes its key.
+        """
         return fingerprint(
             "run",
             list(self.workloads),
@@ -171,6 +181,11 @@ class RunSpec:
     def label(self) -> str:
         """Human-readable identity for failure reports."""
         return "+".join(self.workloads)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("key", None)
+        return state
 
     # -- constructors matching the paper's experiment shapes ---------------
 
@@ -838,16 +853,35 @@ class _Interrupted(Exception):
     """Internal: a SIGINT/SIGTERM arrived; unwind after persisting."""
 
 
-def _worker_init() -> None:
+#: ``prctl`` option: signal delivered to this process when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _worker_init(parent: int) -> None:
     """Worker-process signal hygiene.
 
     Workers must not inherit the parent's graceful-drain handlers (a
     forked child would otherwise swallow the ``terminate()`` used to
     reclaim hung workers), and they ignore ``SIGINT`` so a terminal
     Ctrl-C reaches only the parent, which drains and persists.
+
+    On Linux a worker started directly by ``parent`` (not by a fork
+    server) also dies with it: a worker waits on its call queue, whose
+    write end it inherited, so it never sees EOF once the parent is
+    gone, and a parent killed outright would otherwise leave its
+    workers behind for good.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if sys.platform == "linux" and os.getppid() == parent:
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        if os.getppid() != parent:  # the parent died before prctl
+            os._exit(1)
 
 
 class _PlanRunner:
@@ -1029,7 +1063,9 @@ class _PlanRunner:
         workers = -(-remaining // self.chunk)  # ceil: chunks, not specs, fill slots
         t0 = time.perf_counter()
         pool = ProcessPoolExecutor(
-            max_workers=max(1, min(self.jobs, workers)), initializer=_worker_init
+            max_workers=max(1, min(self.jobs, workers)),
+            initializer=_worker_init,
+            initargs=(os.getpid(),),
         )
         self.stats.pool_spinup_s += time.perf_counter() - t0
         return pool

@@ -13,8 +13,8 @@ Pieces (each its own module):
 * :mod:`~repro.service.store` — job table with a crash-safe journal
   under ``<cache-dir>/service/jobs/``;
 * :mod:`~repro.service.dispatcher` — background asyncio task running
-  each job's ``execute_plan`` (full PR 2/7 fault tolerance) in a
-  side thread so the event loop keeps serving;
+  each job's ``execute_plan`` (full runner fault tolerance) in one
+  forked worker process so the event loop keeps serving;
 * :mod:`~repro.service.http` — the stdlib HTTP/1.1 front end with the
   fingerprint-as-ETag idempotency contract.
 
@@ -25,8 +25,10 @@ Pieces (each its own module):
 from __future__ import annotations
 
 import asyncio
+import signal
 from dataclasses import dataclass
 
+from ..harness.cache import get_cache
 from .dispatcher import Dispatcher
 from .http import ServiceApp, result_payload
 from .specs import (
@@ -65,7 +67,7 @@ class ServiceHandle:
     port: int
 
     async def close(self) -> None:
-        """Stop accepting, cancel the dispatcher, release the thread."""
+        """Stop accepting, cancel the dispatcher, reap its worker."""
         self.server.close()
         await self.server.wait_closed()
         await self.dispatcher.stop()
@@ -84,12 +86,23 @@ async def start_service(
     ``jobs`` sizes the per-plan simulation fleet — the
     ``ProcessPoolExecutor`` width ``execute_plan`` fans cache misses
     out over — unless a plan request overrides it.
+
+    The artifact cache must be enabled: it is how results travel from
+    the dispatcher's worker process to the server.  The dispatcher
+    forks that worker here, before the socket is bound.
     """
+    if getattr(get_cache(), "root", None) is None:
+        raise RuntimeError("the service requires the artifact cache "
+                           "(REPRO_CACHE is off)")
     store = store if store is not None else JobStore()
     dispatcher = Dispatcher(store, default_jobs=jobs)
     app = ServiceApp(store, dispatcher)
-    dispatcher.start()
-    server = await asyncio.start_server(app.handle, host=host, port=port)
+    dispatcher.start()  # fork before bind
+    try:
+        server = await asyncio.start_server(app.handle, host=host, port=port)
+    except BaseException:
+        await dispatcher.stop()
+        raise
     bound = server.sockets[0].getsockname()
     return ServiceHandle(
         server=server,
@@ -102,23 +115,30 @@ async def start_service(
 
 
 def run_server(host: str = "127.0.0.1", port: int = 8787, *, jobs: int = 1) -> int:
-    """Blocking entry point behind ``repro serve`` (Ctrl-C to stop)."""
+    """Blocking entry point behind ``repro serve`` (Ctrl-C or SIGTERM to stop).
+
+    Either signal closes the service, so the dispatcher reaps its
+    worker process before the server exits.
+    """
 
     async def _main() -> None:
         handle = await start_service(host, port, jobs=jobs)
-        from ..harness.cache import get_cache
-
-        root = getattr(get_cache(), "root", None)
+        terminated = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, terminated.set
+        )
+        root = get_cache().root
         print(
             f"repro serve: listening on http://{handle.host}:{handle.port} "
             f"(fleet: {jobs} worker{'s' if jobs != 1 else ''}, "
-            f"store: {root if root is not None else 'DISABLED'})",
+            f"store: {root})",
             flush=True,
         )
         try:
-            await handle.server.serve_forever()
+            await terminated.wait()  # start_server is already serving
         finally:
             await handle.close()
+        print("repro serve: terminated; jobs journal persisted — restart to resume")
 
     try:
         asyncio.run(_main())

@@ -1,7 +1,12 @@
 """Stdlib-asyncio HTTP/JSON front end for the simulation service.
 
 A deliberately small HTTP/1.1 server over ``asyncio.start_server`` — no
-framework, no threads in the serving path.  Routes:
+framework, no threads in the serving path.  Everything here runs on the
+event loop and nothing here simulates: plans run in the dispatcher's
+worker process (:mod:`~repro.service.dispatcher`), so a read only ever
+waits for other reads, never for a simulation holding the interpreter
+lock, and a worker crash never takes a read down with it.  Results are
+read from the artifact cache, which the worker fills.  Routes:
 
 * ``POST /plans`` — submit a plan request (:mod:`~repro.service.specs`
   wire format).  Idempotent: the job id is the plan fingerprint, so
@@ -17,7 +22,14 @@ framework, no threads in the serving path.  Routes:
 * ``GET /healthz`` — liveness + job counts + store location.
 * ``GET /metrics`` — the service's own MetricsRegistry dump (request
   counters, latency histogram, result hit/miss counters) merged with
-  the runner's session counters.
+  the ``runner.*`` counters the dispatcher summed over the jobs its
+  worker ran (:attr:`~repro.service.dispatcher.Dispatcher.stats`).
+
+Malformed frames fail closed: a ``Content-Length`` that is not a
+non-negative decimal integer or a header line over the stream limit
+gets a structured ``400``, and a body over :data:`MAX_BODY_BYTES` a
+``413``; each closes the connection, since the request's end on the
+wire is unknown or unread.
 
 ETag contract: every completed resource carries ``ETag: "<fp>"`` — the
 plan fingerprint for ``/plans``, the spec fingerprint for ``/results``.
@@ -33,7 +45,7 @@ import asyncio
 import json
 import time
 
-from ..harness import RunnerStats, cached_result, session_stats
+from ..harness import RunnerStats, cached_result
 from ..harness.quarantine import result_digest
 from ..telemetry import MetricsRegistry
 from .dispatcher import Dispatcher
@@ -96,6 +108,14 @@ def result_payload(key: str, result) -> dict:
     }
 
 
+class _BadFrame(Exception):
+    """A request frame the server cannot take; answered, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class _Request:
     """One parsed HTTP request."""
 
@@ -136,7 +156,15 @@ class ServiceApp:
         """Connection handler: keep-alive loop until EOF or close."""
         try:
             while True:
-                req = await self._read_request(reader)
+                try:
+                    req = await self._read_request(reader)
+                except _BadFrame as exc:
+                    self.registry.count(f"http.status.{exc.status}")
+                    await self._write_response(
+                        writer, _Response(exc.status, {"error": str(exc)}),
+                        keep_alive=False,
+                    )
+                    break
                 if req is None:
                     break
                 t0 = time.perf_counter()
@@ -176,14 +204,20 @@ class ServiceApp:
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
-            hline = await reader.readline()
+            try:
+                hline = await reader.readline()
+            except ValueError:  # a line over the stream's limit
+                raise _BadFrame(400, "header line too long") from None
             if not hline or hline in (b"\r\n", b"\n"):
                 break
             name, _, value = hline.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        raw_length = headers.get("content-length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadFrame(400, f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            return _Request(method, path, headers, b"__TOO_LARGE__")
+            raise _BadFrame(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
         return _Request(method, path, headers, body)
 
@@ -213,8 +247,6 @@ class ServiceApp:
     # --------------------------------------------------------------- routes
 
     def _route(self, req: _Request) -> _Response:
-        if req.body == b"__TOO_LARGE__":
-            return _Response(413, {"error": "request body too large"})
         path = req.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/plans" and req.method == "POST":
             return self._post_plan(req)
@@ -315,7 +347,7 @@ class ServiceApp:
 
     def _metrics(self) -> _Response:
         runner = MetricsRegistry()
-        for name, value in vars(session_stats()).items():
+        for name, value in vars(self.dispatcher.stats).items():
             runner.count(f"runner.{name}", value)
         merged = MetricsRegistry.merge([self.registry.snapshot(), runner.snapshot()])
         return _Response(200, merged)

@@ -421,3 +421,315 @@ class TestCacheStatsExtensions:
         stats = usage(get_cache().root)
         assert stats["quarantined"] == 0
         assert stats["chaos_seeds"] == []
+
+
+# --------------------------------------------------------------------------
+# plans in the dispatcher's worker process
+
+
+def corpus_plan() -> dict:
+    """``scripts/load_soak.py``'s corpus shape: 12 benchmarks × 2 systems."""
+    from repro.workloads import SPEC_PROFILES
+
+    specs = []
+    for name in SPEC_PROFILES:
+        specs.append(descriptor(name))
+        specs.append(descriptor(name, system="rop", training_refreshes=3))
+    return {"specs": specs}
+
+
+def socket_fds(pid: int) -> list[int]:
+    """Open socket descriptors of process ``pid``."""
+    import os
+    import stat
+
+    out = []
+    for name in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            if stat.S_ISSOCK(os.stat(f"/proc/{pid}/fd/{name}").st_mode):
+                out.append(int(name))
+        except OSError:
+            pass
+    return out
+
+
+class TestPlanWorker:
+    def test_metrics_reports_runner_counters_of_worker_jobs(self):
+        async def scenario(handle):
+            port = handle.port
+            _, _, doc = await request(port, "POST", "/plans", PLAN)
+            await wait_done(port, doc["id"])
+            _, _, metrics = await request(port, "GET", "/metrics")
+            return metrics, handle.dispatcher.worker_pid
+
+        metrics, worker_pid = serve(scenario)
+        assert metrics["counters"]["runner.executed"] == 2
+        assert metrics["counters"]["runner.requested"] == 2
+        import os
+
+        assert worker_pid is not None and worker_pid != os.getpid()
+
+    def test_service_refuses_a_disabled_artifact_cache(self, monkeypatch):
+        # results travel from the worker to the server through the cache
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        with pytest.raises(RuntimeError, match="artifact cache"):
+            serve(lambda handle: None)
+
+    def test_sigkilled_worker_is_rebuilt_and_the_job_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+        import signal
+
+        cached = spec_from_descriptor(descriptor("gobmk"), 0)
+        execute_plan([cached], jobs=1)
+        cached_digest = result_digest(cached_result(cached.key))
+        clear_result_memo()
+        # lbm sleeps 2 s at the top of each attempt: the kill lands mid-plan
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"lbm": {"mode": "hang", "seconds": 2}}))
+        monkeypatch.setenv("REPRO_FAULTS", str(faults))
+        second = {"specs": [descriptor("gcc")]}
+
+        async def scenario(handle):
+            port = handle.port
+            first_pid = handle.dispatcher.worker_pid
+            _, _, doc = await request(port, "POST", "/plans", PLAN)
+            job_id = doc["id"]
+            while (await request(port, "GET", f"/plans/{job_id}"))[2][
+                "state"
+            ] != "running":
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.2)
+            os.kill(first_pid, signal.SIGKILL)
+            while handle.dispatcher.worker_pid == first_pid:
+                await asyncio.sleep(0.01)
+            # a cached read answers while the new worker re-runs the plan
+            status, _, body = await request(
+                port, "GET", f"/results/{cached.key}")
+            _, _, during = await request(port, "GET", f"/plans/{job_id}")
+            job = await wait_done(port, job_id)
+            digests = {}
+            for spec in job["specs"]:
+                _, _, res = await request(
+                    port, "GET", f"/results/{spec['fingerprint']}")
+                digests[spec["fingerprint"]] = res["digest"]
+            new_pid = handle.dispatcher.worker_pid
+            _, _, doc2 = await request(port, "POST", "/plans", second)
+            job2 = await wait_done(port, doc2["id"])
+            return {
+                "read": (status, body["digest"]), "during": during["state"],
+                "job": job, "digests": digests, "job2": job2,
+                "pids": (first_pid, new_pid, handle.dispatcher.worker_pid),
+                "rebuilds": handle.dispatcher.worker_rebuilds,
+                "sockets": socket_fds(new_pid),
+            }
+
+        out = serve(scenario)
+        assert out["read"] == (200, cached_digest)
+        assert out["during"] == "running"
+        assert out["job"]["state"] == "done" and out["job"]["failures"] == []
+        assert out["job2"]["state"] == "done"
+        first_pid, new_pid, last_pid = out["pids"]
+        assert new_pid != first_pid and last_pid == new_pid
+        assert out["rebuilds"] == 1
+        # forked after bind, the new worker closed every inherited socket
+        assert out["sockets"] == []
+        monkeypatch.delenv("REPRO_FAULTS")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-b"))
+        clear_result_memo()
+        for raw in PLAN["specs"]:
+            spec = spec_from_descriptor(raw, 0)
+            assert out["digests"][spec.key] == result_digest(run_spec(spec))
+
+    def test_pool_processes_die_with_a_killed_worker(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+        import signal
+        import subprocess
+
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"lbm": {"mode": "hang", "seconds": 2}}))
+        monkeypatch.setenv("REPRO_FAULTS", str(faults))
+
+        def alive(pid: str) -> bool:
+            try:
+                with open(f"/proc/{pid}/status") as fh:
+                    return "\nState:\tZ" not in fh.read()
+            except FileNotFoundError:
+                return False
+
+        async def scenario(handle):
+            port = handle.port
+            worker = handle.dispatcher.worker_pid
+            _, _, doc = await request(port, "POST", "/plans", {**PLAN, "jobs": 2})
+            pool = []
+            for _ in range(500):  # until the plan's pool has forked
+                pool = subprocess.run(
+                    ["ps", "-o", "pid=", "--ppid", str(worker)],
+                    capture_output=True, text=True,
+                ).stdout.split()
+                if pool:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.2)
+            os.kill(worker, signal.SIGKILL)
+            for _ in range(500):
+                if not any(alive(pid) for pid in pool):
+                    break
+                await asyncio.sleep(0.01)
+            survivors = [pid for pid in pool if alive(pid)]
+            for pid in survivors:  # a survivor would also hide the crash
+                os.kill(int(pid), signal.SIGKILL)
+            job = await wait_done(port, doc["id"])
+            return pool, survivors, job
+
+        pool, survivors, job = serve(scenario)
+        assert pool and survivors == []
+        assert job["state"] == "done"
+
+    def test_sigterm_to_the_worker_fails_the_job_not_the_server(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+        import signal
+
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"lbm": {"mode": "hang", "seconds": 1}}))
+        monkeypatch.setenv("REPRO_FAULTS", str(faults))
+
+        async def scenario(handle):
+            port = handle.port
+            # a parallel plan: the runner's signal guard turns SIGTERM
+            # into an unwind that ends in KeyboardInterrupt
+            _, _, doc = await request(port, "POST", "/plans", {**PLAN, "jobs": 2})
+            while (await request(port, "GET", f"/plans/{doc['id']}"))[2][
+                "state"
+            ] != "running":
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.2)
+            os.kill(handle.dispatcher.worker_pid, signal.SIGTERM)
+            job = await wait_done(port, doc["id"])
+            health, _, _ = await request(port, "GET", "/healthz")
+            return job, health
+
+        job, health = serve(scenario)
+        assert job["state"] == "failed"
+        assert "interrupted in the worker" in job["error"]
+        assert health == 200
+
+    def test_job_that_kills_the_worker_twice_fails_structurally(
+        self, tmp_path, monkeypatch
+    ):
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"lbm": {"mode": "crash"}}))
+        monkeypatch.setenv("REPRO_FAULTS", str(faults))
+
+        async def scenario(handle):
+            port = handle.port
+            _, _, doc = await request(
+                port, "POST", "/plans", {"specs": [descriptor("lbm")]})
+            job = await wait_done(port, doc["id"])
+            _, _, doc2 = await request(
+                port, "POST", "/plans", {"specs": [descriptor("gobmk")]})
+            job2 = await wait_done(port, doc2["id"])
+            return job, job2, handle.dispatcher.worker_rebuilds
+
+        job, job2, rebuilds = serve(scenario)
+        assert job["state"] == "failed"
+        assert job["error"].startswith("BrokenProcessPool")
+        assert rebuilds == 2
+        assert job2["state"] == "done"
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize(
+        "value, status",
+        [("abc", 400), ("-5", 400), ("", 400), (str((4 << 20) + 1), 413)],
+    )
+    def test_bad_content_length_is_answered_then_closed(self, value, status):
+        async def scenario(handle):
+            leaked = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: leaked.append(ctx))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", handle.port)
+            writer.write(
+                f"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {value}\r\n\r\n".encode())
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 10)  # EOF: closed
+            writer.close()
+            await writer.wait_closed()
+            health, _, _ = await request(handle.port, "GET", "/healthz")
+            return raw, leaked, health
+
+        raw, leaked, health = serve(scenario)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split(b" ")[1] == str(status).encode()
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+        assert leaked == []
+        assert health == 200  # the server kept serving
+
+
+# --------------------------------------------------------------------------
+# fingerprints are computed once per spec and never move
+
+
+#: fingerprints computed before ``RunSpec.key`` was memoized
+PINNED_SPEC_FP = "3849e8e538dd0e0d6cf351257cfb9705431dccf3"
+PINNED_PLAN_FP = "ff191840fc0a4183dadbbc447253a7af3e3bae57"
+
+
+class TestFingerprintMemo:
+    def test_spec_and_plan_fingerprints_are_pinned(self):
+        rop = spec_from_descriptor(
+            descriptor("lbm", system="rop", training_refreshes=3), 0)
+        mix = spec_from_descriptor(
+            {"workloads": ["gcc", "lbm", "gobmk", "astar"],
+             "system": "baseline", "instructions": INSTRUCTIONS, "seed": 2}, 1)
+        assert spec_fingerprint(rop) == PINNED_SPEC_FP
+        assert plan_fingerprint([rop, mix, rop]) == PINNED_PLAN_FP
+
+    def test_corpus_post_fingerprints_each_spec_once(self, monkeypatch):
+        import repro.harness.runner as runner_mod
+        import repro.service.specs as specs_mod
+        from repro.harness import cache as cache_mod
+
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts[0])
+            return cache_mod.fingerprint(*parts)
+
+        monkeypatch.setattr(runner_mod, "fingerprint", counting)
+        monkeypatch.setattr(specs_mod, "fingerprint", counting)
+        plan = corpus_plan()
+
+        async def scenario(handle):
+            calls.clear()
+            status, _, doc = await request(handle.port, "POST", "/plans", plan)
+            return status, len(doc["specs"]), list(calls)
+
+        status, n_specs, seen = serve(scenario)
+        assert status == 202 and n_specs == 24
+        assert seen.count("run") <= 24
+        assert seen.count("plan") == 1
+
+    def test_unpickled_spec_recomputes_its_key(self, monkeypatch):
+        import pickle
+
+        from repro.harness import cache as cache_mod
+
+        spec = spec_from_descriptor(descriptor("lbm"), 0)
+        key = spec.key
+        loaded = pickle.loads(pickle.dumps(spec))
+        assert "key" not in vars(loaded)
+        assert loaded.key == key
+        # replayed under a later schema, the bundle gets the new address
+        replayed = pickle.loads(pickle.dumps(spec))
+        monkeypatch.setattr(cache_mod, "CACHE_SCHEMA", cache_mod.CACHE_SCHEMA + 1)
+        assert replayed.key != key
+        assert spec.key == key  # the live instance keeps its memo
